@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.clock import Clock, WALL_CLOCK
-from repro.core.context import ContextChain
+from repro.core.context import ContextChain, encode_with_chains
 from repro.core.pipeline import (
     CapacityEnroll,
     ChainContextVerify,
@@ -176,6 +176,10 @@ class CacheDecision:
     #: the probe's embedding from the lookup's Embed stage; pass it to
     #: ``insert``/``enroll`` on a miss to skip a second encoder forward.
     embedding: Optional[np.ndarray] = None
+    #: the probe's context chain, when the lookup had it (precomputed or
+    #: embedded for verification); pass it to ``insert`` as ``context`` on
+    #: a miss to skip re-embedding the chain.
+    context_chain: Optional[ContextChain] = None
 
     @property
     def total_overhead_s(self) -> float:
@@ -349,6 +353,7 @@ class MeanCache:
         queries: Sequence[str],
         contexts: Optional[Sequence[Sequence[str]]] = None,
         embeddings: Optional[np.ndarray] = None,
+        context_chains: Optional[Sequence[ContextChain]] = None,
     ) -> List[CacheDecision]:
         """Decide hit/miss for a whole batch of queries in one vectorized pass.
 
@@ -356,9 +361,11 @@ class MeanCache:
         candidates, thresholding, context verification and stats/eviction
         bookkeeping), but the *queries* are embedded with **one** encoder
         call and searched with **one** matmul against the index, so per-query
-        overhead amortizes across the batch.  Context chains, when probes
-        carry them, are still embedded per probe — and only for probes whose
-        best candidate clears τ and needs verification.
+        overhead amortizes across the batch.  Context chains, unless passed
+        in through ``context_chains``, are embedded per probe — and only for
+        probes whose best candidate clears τ and needs verification.  Each
+        decision carries the chain it used (``context_chain``) so a miss can
+        enrol without re-embedding it.
         ``embed_time_s``/``search_time_s`` on the returned decisions are the
         batch cost split evenly per query.
 
@@ -374,6 +381,12 @@ class MeanCache:
             encoded with this cache's encoder and compression setting) —
             the serving micro-batcher's amortization hook: one cross-user
             encoder call upstream, no per-cache re-encode here.
+        context_chains:
+            Optional precomputed probe context chains (one per query, the
+            chain of that query's ``contexts`` entry, embedded with this
+            cache's encoder and compression setting) — the same hook for
+            chains: the upstream encoder call covers them too, so
+            verification and enrolment encode nothing.
 
         Returns
         -------
@@ -382,6 +395,8 @@ class MeanCache:
         queries = require_query_texts(queries)
         if contexts is not None and len(contexts) != len(queries):
             raise ValueError("contexts must align with queries")
+        if context_chains is not None and len(context_chains) != len(queries):
+            raise ValueError("context_chains must align with queries")
         if not queries:
             return []
         self.stats.lookups += len(queries)
@@ -391,7 +406,7 @@ class MeanCache:
         ]
         if embeddings is not None:
             embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        return self.pipeline.run(probes, reprs=embeddings)
+        return self.pipeline.run(probes, reprs=embeddings, chains=context_chains)
 
     # ------------------------------------------------------------------ #
     # Insertion (Algorithm 1, line 9) and eviction
@@ -486,10 +501,11 @@ class MeanCache:
     ) -> List[int]:
         """Insert many queries at once (used to pre-load experiment caches).
 
-        The whole batch is embedded with a single encoder call; each entry is
-        then enrolled through :meth:`insert` (one O(1) index append apiece),
-        so pre-loading n queries costs one encode plus O(n) appends instead
-        of the seed's O(n²) matrix rebuilds.
+        The whole batch — every query plus each distinct context text — is
+        embedded with a single encoder call; each entry is then enrolled
+        through :meth:`insert` (one O(1) index append apiece) with its
+        prebuilt chain, so pre-loading n queries costs one encode plus O(n)
+        appends instead of the seed's O(n²) matrix rebuilds.
         """
         if responses is not None and len(responses) != len(queries):
             raise ValueError("responses must align with queries")
@@ -498,17 +514,17 @@ class MeanCache:
         queries = require_query_texts(queries)
         if not queries:
             return []
-        embeddings = np.atleast_2d(
-            np.asarray(
-                self.encoder.encode(queries, compress=self.config.compressed),
-                dtype=np.float64,
-            )
+        embeddings, chains = encode_with_chains(
+            lambda texts: self.encoder.encode(texts, compress=self.config.compressed),
+            queries,
+            contexts if contexts is not None else [()] * len(queries),
         )
         ids: List[int] = []
         for i, query in enumerate(queries):
             response = responses[i] if responses is not None else f"cached response for: {query}"
-            context = contexts[i] if contexts is not None else ()
-            ids.append(self.insert(query, response, context=context, embedding=embeddings[i]))
+            ids.append(
+                self.insert(query, response, context=chains[i], embedding=embeddings[i])
+            )
         return ids
 
     def rebuild_embeddings(self) -> None:
@@ -788,6 +804,7 @@ class _MeanCacheDecide(DecideStage):
                 embed_time_s=selection.embed_time_s,
                 search_time_s=selection.search_time_s,
                 embedding=selection.embedding,
+                context_chain=selection.chain,
             )
         entry = cache._entries[selection.best.id]
         entry.hit_count += 1
@@ -807,6 +824,7 @@ class _MeanCacheDecide(DecideStage):
             embed_time_s=selection.embed_time_s,
             search_time_s=selection.search_time_s,
             embedding=selection.embedding,
+            context_chain=selection.chain,
         )
 
 

@@ -182,9 +182,14 @@ class MeanCacheClient:
             )
         llm_response = self.service.query(text, client_id=self.client_id, context=context)
         if enroll_on_miss:
-            # Reuse the lookup's embedding so enrolment skips a re-encode.
+            # Reuse the lookup's embedding and context chain so enrolment
+            # skips a re-encode.
+            chain = decision.context_chain
             self.cache.insert(
-                text, llm_response.text, context=context, embedding=decision.embedding
+                text,
+                llm_response.text,
+                context=chain if chain is not None else context,
+                embedding=decision.embedding,
             )
         return ClientQueryResult(
             query=text,

@@ -17,7 +17,7 @@ query embeddings), so paraphrased parents still match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,18 +50,32 @@ class ContextChain:
     def from_texts(cls, texts: Sequence[str], encoder=None) -> "ContextChain":
         """Build a chain, embedding it with ``encoder`` when provided.
 
-        The chain embedding is the mean of the parent-query embeddings,
-        re-normalised to unit norm.
+        Empty texts are dropped; the embedding is computed by
+        :meth:`from_embeddings` from one ``encoder.encode`` call.
         """
         texts = tuple(t for t in texts if t)
-        embedding = None
         if encoder is not None and texts:
-            embs = encoder.encode(list(texts))
-            embs = np.atleast_2d(embs)
-            mean = embs.mean(axis=0)
-            norm = np.linalg.norm(mean)
-            embedding = mean / norm if norm > 1e-12 else mean
-        return cls(texts=texts, embedding=embedding)
+            return cls.from_embeddings(texts, encoder.encode(list(texts)))
+        return cls(texts=texts, embedding=None)
+
+    @classmethod
+    def from_embeddings(cls, texts: Sequence[str], embeddings) -> "ContextChain":
+        """Build a chain from already-computed parent-query embeddings.
+
+        ``embeddings`` holds one row per text, aligned by position (e.g. rows
+        of a larger batched encoder call).  The chain embedding is the mean
+        of the rows, re-normalised to unit norm; no texts gives the empty
+        chain.
+        """
+        texts = tuple(texts)
+        if not texts:
+            return cls.empty()
+        embs = np.atleast_2d(embeddings)
+        if embs.shape[0] != len(texts):
+            raise ValueError("embeddings must have one row per context text")
+        mean = embs.mean(axis=0)
+        norm = np.linalg.norm(mean)
+        return cls(texts=texts, embedding=mean / norm if norm > 1e-12 else mean)
 
     def similarity_to(self, other: "ContextChain") -> float:
         """Cosine similarity between two chain embeddings.
@@ -76,6 +90,37 @@ class ContextChain:
         if self.embedding is None or other.embedding is None:
             return 0.0
         return float(cosine_similarity(self.embedding, other.embedding))
+
+
+def encode_with_chains(
+    encode: Callable[[List[str]], np.ndarray],
+    queries: Sequence[str],
+    contexts: Sequence[Sequence[str]],
+) -> Tuple[np.ndarray, List[ContextChain]]:
+    """Embed queries and their context chains with **one** ``encode`` call.
+
+    The call covers every query plus each distinct non-empty context text;
+    each query's chain is then assembled from its rows by
+    :meth:`ContextChain.from_embeddings`.  Returns the ``(n, d)`` query
+    embeddings and one chain per query (the empty chain for standalone
+    queries).
+    """
+    chain_texts = [tuple(t for t in context if t) for context in contexts]
+    row_of: Dict[str, int] = {}
+    for texts in chain_texts:
+        for text in texts:
+            row_of.setdefault(text, len(queries) + len(row_of))
+    embs = np.atleast_2d(
+        np.asarray(encode(list(queries) + list(row_of)), dtype=np.float64)
+    )
+    chains = [
+        ContextChain.from_embeddings(texts, embs[[row_of[t] for t in texts]])
+        for texts in chain_texts
+    ]
+    query_embs = embs[: len(queries)]
+    # Caches store rows of this matrix as views: copy it so they do not
+    # keep the context rows alive.
+    return (query_embs.copy() if row_of else query_embs), chains
 
 
 def context_matches(

@@ -86,6 +86,10 @@ class Selection:
     #: the probe's embedding from the Embed stage (None for non-vector
     #: variants); lets a later enrolment reuse it instead of re-encoding.
     embedding: Optional[np.ndarray] = None
+    #: the probe's context chain, when known: handed in by the caller or
+    #: embedded during verification (None when neither happened); lets a
+    #: later enrolment reuse it instead of re-encoding.
+    chain: Optional[ContextChain] = None
 
     @property
     def hit(self) -> bool:
@@ -282,10 +286,11 @@ class AlwaysAdmit(ThresholdStage):
 class ContextVerifyStage:
     """Verifies a candidate's conversation state against the probe's.
 
-    ``enabled`` gates the whole stage; the probe's context chain is embedded
-    lazily by the pipeline (once per probe, and only when some candidate
-    actually clears the threshold), so outright misses never pay the
-    context-encoding cost.
+    ``enabled`` gates the whole stage.  A probe's context chain is either
+    handed to the pipeline precomputed (the serving layer embeds a flush's
+    chains in its one encoder call) or embedded lazily (once per probe, and
+    only when some candidate actually clears the threshold), so outright
+    misses never pay the context-encoding cost.
     """
 
     enabled: bool = True
@@ -386,7 +391,7 @@ class EnrollStage:
         self,
         query: str,
         response: str,
-        context: Sequence[str] = (),
+        context: "Sequence[str] | ContextChain" = (),
         user_id: Optional[str] = None,
         embedding: Optional[np.ndarray] = None,
     ) -> None:
@@ -396,7 +401,9 @@ class EnrollStage:
         per-device caches ignore it (the device *is* the user).
         ``embedding``, when the lookup that missed already computed it
         (``Selection.embedding`` / the decision's ``embedding``), is reused
-        so enrolment does not pay a second encoder forward.
+        so enrolment does not pay a second encoder forward.  ``context`` may
+        likewise be the lookup's already-embedded :class:`ContextChain`
+        (``Selection.chain`` / the decision's ``context_chain``).
         """
         raise NotImplementedError
 
@@ -429,7 +436,7 @@ class CapacityEnroll(EnrollStage):
         self,
         query: str,
         response: str,
-        context: Sequence[str] = (),
+        context: "Sequence[str] | ContextChain" = (),
         user_id: Optional[str] = None,
         embedding: Optional[np.ndarray] = None,
     ) -> None:
@@ -452,7 +459,7 @@ class UnboundedEnroll(EnrollStage):
         self,
         query: str,
         response: str,
-        context: Sequence[str] = (),
+        context: "Sequence[str] | ContextChain" = (),
         user_id: Optional[str] = None,
         embedding: Optional[np.ndarray] = None,
     ) -> None:
@@ -498,14 +505,17 @@ class LookupPipeline:
         embed_time_s: float = 0.0,
         search_time_s: float = 0.0,
         embedding: Optional[np.ndarray] = None,
+        chain: Optional[ContextChain] = None,
     ) -> Selection:
         """Run Threshold → ContextVerify over one probe's candidates.
 
         Candidates arrive ranked by descending similarity; the first one to
-        clear both stages wins.  The probe's context chain is embedded at
-        most once, and only when a candidate actually reaches verification.
+        clear both stages wins.  ``chain`` is the probe's precomputed context
+        chain; without it the chain is embedded at most once, and only when
+        a candidate actually reaches verification.  The selection carries
+        whichever chain was given or embedded.
         """
-        probe_chain: Optional[ContextChain] = None
+        probe_chain = chain
         context_checked = False
         best: Optional[IndexHit] = None
         for hit in hits:
@@ -527,9 +537,15 @@ class LookupPipeline:
             embed_time_s=embed_time_s,
             search_time_s=search_time_s,
             embedding=embedding,
+            chain=probe_chain,
         )
 
-    def run(self, probes: Sequence[Probe], reprs: Optional[Sequence] = None) -> List:
+    def run(
+        self,
+        probes: Sequence[Probe],
+        reprs: Optional[Sequence] = None,
+        chains: Optional[Sequence[Optional[ContextChain]]] = None,
+    ) -> List:
         """Drive a whole batch of probes through every stage.
 
         One embed call and one retrieval call cover the batch; their
@@ -544,10 +560,17 @@ class LookupPipeline:
         representations must come from the same embed configuration this
         pipeline's Embed stage would apply (same encoder and compression);
         ``embed_time_s`` is reported as 0 since the cost was paid upstream.
+
+        ``chains``, when given, are the probes' precomputed context chains
+        (one per probe, aligned by position; a ``None`` entry falls back to
+        lazy embedding), e.g. from the serving layer's flush-wide encoder
+        call; verification then encodes no chain of its own.
         """
         if not probes:
             return []
         n = len(probes)
+        if chains is not None and len(chains) != n:
+            raise ValueError("chains must align with probes")
         if reprs is None:
             start = time.perf_counter()
             reprs = self.embed.encode_batch([p.query for p in probes])
@@ -574,6 +597,7 @@ class LookupPipeline:
                     embed_time,
                     search_time,
                     embedding=reprs[i] if vector_reprs else None,
+                    chain=chains[i] if chains is not None else None,
                 )
             )
             for i, probe in enumerate(probes)

@@ -711,18 +711,25 @@ class TieredCache:
         queries: Sequence[str],
         contexts: Optional[Sequence[Sequence[str]]] = None,
         embeddings: Optional[np.ndarray] = None,
+        context_chains: Optional[Sequence[ContextChain]] = None,
     ) -> List[CacheDecision]:
         """Batched lookup: one L1 pipeline pass, then per-miss L2 probes.
 
-        Each L1 miss probes L2 with the pipeline's own probe embedding (no
-        re-encode) under the live τ and context rule.  Promotions happen
+        Each L1 miss probes L2 with the pipeline's own probe embedding and
+        context chain (no re-encode; the chain is embedded lazily only when
+        L1 had none and an L2 candidate needs it) under the live τ and
+        context rule.  ``embeddings``/``context_chains`` are precomputed
+        probe rows/chains, forwarded to L1.  Promotions happen
         only after **every** probe in the batch is matched, so duplicate
         probes all see the entry exactly once (in whichever tier held it
         when the batch started) — an entry is never scored twice for one
         probe.
         """
         decisions = self.l1.lookup_batch(
-            queries, contexts=contexts, embeddings=embeddings
+            queries,
+            contexts=contexts,
+            embeddings=embeddings,
+            context_chains=context_chains,
         )
         # l2_id -> [(decision index, score), ...]
         matched: Dict[int, List[Tuple[int, float]]] = {}
@@ -730,14 +737,17 @@ class TieredCache:
             if decision.hit or decision.embedding is None:
                 continue
             ctx_texts = tuple(contexts[i]) if contexts is not None else ()
+            probe_chain = _LazyChain(self.l1, ctx_texts, decision.context_chain)
             found = self.l2.match(
                 decision.embedding,
                 top_k=self.l1.config.top_k,
                 threshold=self.l1.config.similarity_threshold,
-                probe_context=_lazy_chain(self.l1, ctx_texts),
+                probe_context=probe_chain,
                 context_threshold=self.l1.config.context_threshold,
                 verify_context=self.l1.config.verify_context,
             )
+            # Keep a chain embedded for L2 so enrolment can reuse it.
+            decision.context_chain = probe_chain.chain
             if found is not None:
                 l2_id, score = found
                 matched.setdefault(l2_id, []).append((i, score))
@@ -860,15 +870,21 @@ class TieredCache:
         return cache
 
 
-def _lazy_chain(
-    cache: MeanCache, ctx_texts: Tuple[str, ...]
-) -> Callable[[], ContextChain]:
-    """Embed a probe's context chain at most once, and only when needed."""
-    memo: List[ContextChain] = []
+class _LazyChain:
+    """A probe's context chain: ``chain`` when known, else embedded on the
+    first call (at most once, and only when a candidate needs it)."""
 
-    def build() -> ContextChain:
-        if not memo:
-            memo.append(cache._embed_context(ctx_texts))
-        return memo[0]
+    def __init__(
+        self,
+        cache: MeanCache,
+        ctx_texts: Tuple[str, ...],
+        chain: Optional[ContextChain] = None,
+    ) -> None:
+        self._cache = cache
+        self._ctx_texts = ctx_texts
+        self.chain = chain
 
-    return build
+    def __call__(self) -> ContextChain:
+        if self.chain is None:
+            self.chain = self._cache._embed_context(self._ctx_texts)
+        return self.chain

@@ -45,6 +45,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from repro.core.clock import VirtualClock
+from repro.core.context import ContextChain
 from repro.serving.workload import Trace, WorkloadEvent
 
 
@@ -93,6 +94,9 @@ class BatchLookup:
     similarity: float
     matched_query: Optional[str]
     top_query: Optional[str]
+    #: the probe's context chain from the lookup (None when the variant
+    #: reports none); enrolment reuses it instead of re-embedding
+    chain: Optional[ContextChain] = None
 
 
 class CacheAdapter:
@@ -104,12 +108,14 @@ class CacheAdapter:
         params = inspect.signature(cache.lookup_batch).parameters
         self._accepts_contexts = "contexts" in params
         self._accepts_embeddings = "embeddings" in params
+        self._accepts_chains = "context_chains" in params
 
     def lookup_batch(
         self,
         queries: Sequence[str],
         contexts: Sequence[Sequence[str]],
         embeddings: Optional[np.ndarray] = None,
+        context_chains: Optional[Sequence[ContextChain]] = None,
     ) -> List[BatchLookup]:
         """Batched lookup normalised to one :class:`BatchLookup` per query.
 
@@ -123,13 +129,17 @@ class CacheAdapter:
         amortization hook: when the serving layer already embedded the whole
         flush with one encoder call, vector caches skip their own Embed stage.
         Variants that cannot consume precomputed embeddings (the keyword
-        baseline) silently ignore them.
+        baseline) silently ignore them.  ``context_chains`` (one per query)
+        is the same hook for the probes' context chains, embedded in that
+        same call; context-oblivious variants ignore it.
         """
         kwargs: Dict[str, object] = {}
         if self._accepts_contexts:
             kwargs["contexts"] = [list(c) for c in contexts]
         if self._accepts_embeddings and embeddings is not None:
             kwargs["embeddings"] = embeddings
+        if self._accepts_chains and context_chains is not None:
+            kwargs["context_chains"] = context_chains
         raw = self.cache.lookup_batch(list(queries), **kwargs)
         outcomes: List[BatchLookup] = []
         for item in raw:
@@ -156,6 +166,7 @@ class CacheAdapter:
                         similarity=float(getattr(item, "similarity", 0.0)),
                         matched_query=getattr(item, "matched_query", None),
                         top_query=getattr(item, "top_candidate_query", None),
+                        chain=getattr(item, "context_chain", None),
                     )
                 )
         return outcomes
@@ -164,7 +175,7 @@ class CacheAdapter:
         self,
         query: str,
         response: str,
-        context: Sequence[str],
+        context: "Sequence[str] | ContextChain",
         user_id: str,
         embedding: Optional[object] = None,
     ) -> None:
@@ -172,7 +183,9 @@ class CacheAdapter:
 
         ``user_id`` keeps per-user attribution in central shared caches
         (per-device caches ignore it); ``embedding`` reuses the lookup's
-        Embed-stage output so enrolment skips a second encoder forward.
+        Embed-stage output so enrolment skips a second encoder forward, and
+        a :class:`ContextChain` ``context`` (the lookup's chain) skips
+        re-embedding the context the same way.
         """
         pipeline = getattr(self.cache, "pipeline", None)
         if pipeline is not None and pipeline.enroll is not None:
@@ -200,12 +213,13 @@ class BatchExecutor:
     from :class:`~repro.llm.service.SimulatedLLMService`.
 
     ``miss_fallback`` inserts a second cache tier between a local miss and
-    the LLM: an object with ``lookup(event, embedding) ->
+    the LLM: an object with ``lookup(event, embedding, chain) ->
     Optional[(response, similarity)]`` (probe the tier) and
-    ``enroll(event, response, embedding)`` (called after the LLM answers a
-    full miss).  The server wires its optional shared L2 through this hook;
-    the hook object owns its own synchronization (it may be contended by
-    several shard executors at once).
+    ``enroll(event, response, embedding, chain)`` (called after the LLM
+    answers a full miss); ``chain`` is the local lookup's context chain, or
+    ``None`` when it had none.  The server wires its optional shared L2
+    through this hook; the hook object owns its own synchronization (it may
+    be contended by several shard executors at once).
     """
 
     def __init__(
@@ -270,6 +284,7 @@ class BatchExecutor:
         self,
         events: Sequence[WorkloadEvent],
         embeddings: Optional[np.ndarray] = None,
+        context_chains: Optional[Sequence[ContextChain]] = None,
     ) -> List[LookupOutcome]:
         """Run one batch of arrivals; returns outcomes in input order.
 
@@ -280,13 +295,15 @@ class BatchExecutor:
         ``lookup_batch`` call.  ``embeddings`` (one row per event, e.g. the
         server's single cross-user encoder call for the whole flush) is
         sliced per group and handed to caches that accept precomputed
-        embeddings.
+        embeddings; ``context_chains`` (one per event, from that same call)
+        is sliced and handed on the same way.
 
         Phase 2 — misses and enrolment, in input order.  All lookups
         complete before any enrolment, so a decision can only depend on
         entries enrolled by *previous* batches — no event can hit an entry
         enrolled by a later-arriving event, even on a shared cache, and
-        results are independent of grouping order.
+        results are independent of grouping order.  Enrolment reuses the
+        lookup's embedding and context chain, so no probe is encoded twice.
         """
         if self.virtual_clock is not None and len(events):
             # Window-level stamping: every entry enrolled by this batch is
@@ -306,6 +323,11 @@ class BatchExecutor:
                 [e.query for e in group],
                 [e.context for e in group],
                 embeddings=group_embs,
+                context_chains=(
+                    [context_chains[i] for i in rows]
+                    if context_chains is not None
+                    else None
+                ),
             )
             for i, result in zip(rows, results):
                 looked_up[i] = result
@@ -340,7 +362,9 @@ class BatchExecutor:
             if not result.hit:
                 fallback_hit = None
                 if self.miss_fallback is not None:
-                    fallback_hit = self.miss_fallback.lookup(event, result.embedding)
+                    fallback_hit = self.miss_fallback.lookup(
+                        event, result.embedding, result.chain
+                    )
                 if fallback_hit is not None:
                     response, similarity = fallback_hit
                     outcome.hit = True
@@ -364,7 +388,7 @@ class BatchExecutor:
                         adapter.enroll(
                             event.query,
                             llm.text,
-                            event.context,
+                            result.chain if result.chain is not None else event.context,
                             event.user_id,
                             embedding=result.embedding,
                         )
@@ -372,7 +396,7 @@ class BatchExecutor:
                             intent_map[event.query] = event.intent_key
                         if self.miss_fallback is not None:
                             self.miss_fallback.enroll(
-                                event, llm.text, result.embedding
+                                event, llm.text, result.embedding, result.chain
                             )
             if self.adaptation is not None:
                 self.adaptation.observe(

@@ -17,9 +17,9 @@ federated-cache stack under *real* concurrent load:
 * **Adaptive micro-batching.**  Concurrent requests coalesce into one
   flush: the batcher fires when ``max_batch_size`` requests are pending or
   the oldest has waited ``max_batch_wait_s``, whichever comes first.  A
-  flush is embedded with **one** cross-user encoder call (the dominant
-  per-request cost) and each shard's caches then retrieve from their own
-  indexes via the precomputed rows.
+  flush — its queries and their context chains — is embedded with **one**
+  cross-user encoder call (the dominant per-request cost) and each shard's
+  caches then retrieve, verify and enrol from the precomputed rows.
 * **Optional shared L2.**  A ``shared_cache`` is consulted on per-user
   misses before the LLM (behind its own lock); LLM responses enrol into
   both tiers.
@@ -52,6 +52,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.runtime import guard_cache, maybe_tracked_lock
+from repro.core.context import ContextChain, encode_with_chains
 from repro.llm.service import SimulatedLLMService
 from repro.metrics.timing import LatencyHistogram
 from repro.serving.fleet import FleetResult, UserStats
@@ -113,8 +114,9 @@ class ServerConfig:
         FIFO while arrivals keep filling the next batch; ignored when
         ``deterministic``).
     precompute_embeddings:
-        Embed each flush with one cross-user encoder call and hand every
-        cache its rows (requires constructing the server with ``encoder=``).
+        Embed each flush — queries and context chains — with one cross-user
+        encoder call and hand every cache its rows (requires constructing
+        the server with ``encoder=``).
     """
 
     n_shards: int = 4
@@ -358,7 +360,10 @@ class _SharedL2:
         self.adapter = CacheAdapter(guard_cache(cache, self.lock, "shared_l2"))
 
     def lookup(
-        self, event: WorkloadEvent, embedding: Optional[np.ndarray]
+        self,
+        event: WorkloadEvent,
+        embedding: Optional[np.ndarray],
+        chain: Optional[ContextChain] = None,
     ) -> Optional[Tuple[str, float]]:
         """Probe the shared tier; returns (response, similarity) on a hit."""
         embs = None
@@ -366,17 +371,27 @@ class _SharedL2:
             embs = np.atleast_2d(np.asarray(embedding, dtype=np.float64))
         with self.lock:
             result = self.adapter.lookup_batch(
-                [event.query], [event.context], embeddings=embs
+                [event.query],
+                [event.context],
+                embeddings=embs,
+                context_chains=[chain] if chain is not None else None,
             )[0]
         if result.hit and result.response is not None:
             return result.response, result.similarity
         return None
 
-    def enroll(self, event: WorkloadEvent, response: str, embedding) -> None:
+    def enroll(
+        self,
+        event: WorkloadEvent,
+        response: str,
+        embedding,
+        chain: Optional[ContextChain] = None,
+    ) -> None:
         """Enrol an LLM answer into the shared tier."""
+        context = chain if chain is not None else event.context
         with self.lock:
             self.adapter.enroll(
-                event.query, response, event.context, event.user_id, embedding=embedding
+                event.query, response, context, event.user_id, embedding=embedding
             )
 
 
@@ -452,6 +467,8 @@ class CacheServer:
         self._loop_thread: Optional[threading.Thread] = None
         self._batch_task: Optional[asyncio.Task] = None
         self._arrival: Optional[asyncio.Event] = None
+        #: set by :meth:`stop` to make the :meth:`start`-ed loop shut down
+        self._stop_requested: Optional[asyncio.Event] = None
         self._running = False
 
     # ------------------------------------------------------------------ #
@@ -513,20 +530,28 @@ class CacheServer:
     # ------------------------------------------------------------------ #
     # Flush execution (shared by live + deterministic paths)
     # ------------------------------------------------------------------ #
-    def _embed_flush(self, requests: Sequence[_PendingRequest]) -> Optional[np.ndarray]:
-        """One cross-user encoder call for the whole flush (or None)."""
+    def _embed_flush(
+        self, requests: Sequence[_PendingRequest]
+    ) -> Tuple[Optional[np.ndarray], Optional[List[ContextChain]]]:
+        """One cross-user encoder call for the whole flush (or ``None``s).
+
+        The call covers the queries plus each distinct context text in the
+        flush; returns the query rows and one context chain per request.
+        """
         if self.encoder is None or not self.config.precompute_embeddings:
-            return None
-        embs = self.encoder.encode(
-            [r.query for r in requests], compress=self.compress
+            return None, None
+        return encode_with_chains(
+            lambda texts: self.encoder.encode(texts, compress=self.compress),
+            [r.query for r in requests],
+            [r.context for r in requests],
         )
-        return np.atleast_2d(np.asarray(embs, dtype=np.float64))
 
     def _run_shard(
         self,
         shard: _Shard,
         events: List[WorkloadEvent],
         embeddings: Optional[np.ndarray],
+        chains: Optional[List[ContextChain]] = None,
     ) -> List[LookupOutcome]:
         """Execute one shard's slice of a flush under the shard lock.
 
@@ -535,7 +560,9 @@ class CacheServer:
         shards probing it concurrently stay serialized there.
         """
         with shard.lock:
-            outcomes = shard.executor.execute(events, embeddings=embeddings)
+            outcomes = shard.executor.execute(
+                events, embeddings=embeddings, context_chains=chains
+            )
             if self.config.index_maintenance:
                 shard.executor.maintenance()
             return outcomes
@@ -554,7 +581,7 @@ class CacheServer:
         encoder call, not from shard parallelism.
         """
         events = [r.to_event() for r in requests]
-        embeddings = self._embed_flush(requests)
+        embeddings, chains = self._embed_flush(requests)
         by_shard: Dict[int, List[int]] = {}
         for i, request in enumerate(requests):
             by_shard.setdefault(self.shard_of(request.user_id), []).append(i)
@@ -564,7 +591,10 @@ class CacheServer:
             shard_embs = (
                 embeddings[np.asarray(rows)] if embeddings is not None else None
             )
-            outcomes = self._run_shard(self._shards[shard_idx], shard_events, shard_embs)
+            shard_chains = [chains[i] for i in rows] if chains is not None else None
+            outcomes = self._run_shard(
+                self._shards[shard_idx], shard_events, shard_embs, shard_chains
+            )
             for i, outcome in zip(rows, outcomes):
                 results[i] = outcome
         if self.adaptation is not None and events:
@@ -808,13 +838,18 @@ class CacheServer:
         self._running = False
         if self._arrival is not None:
             self._arrival.set()
-        if self._batch_task is not None:
-            await self._batch_task
+        try:
+            if self._batch_task is not None:
+                await self._batch_task
+        finally:
             self._batch_task = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._loop = None
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
+            self._loop = None
+            if self._stop_requested is not None:
+                # A direct shutdown() of a start()-ed server ends its thread.
+                self._stop_requested.set()
 
     def start(self) -> None:
         """Run the server's event loop on a dedicated daemon thread.
@@ -831,10 +866,12 @@ class CacheServer:
             asyncio.set_event_loop(loop)
 
             async def _main() -> None:
+                self._stop_requested = asyncio.Event()
                 await self.serve()
                 ready.set()
-                while self._running:
-                    await asyncio.sleep(0.01)
+                # shutdown() must run while _running is still set, or it
+                # returns without draining the batch task and the pool.
+                await self._stop_requested.wait()
                 await self.shutdown()
 
             loop.run_until_complete(_main())
@@ -847,11 +884,17 @@ class CacheServer:
         ready.wait()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop a :meth:`start`-ed server, draining pending requests."""
+        """Stop a :meth:`start`-ed server, draining pending requests.
+
+        Runs :meth:`shutdown` on the server's loop: every pending request is
+        flushed and resolved, the batch task finishes and the flush pool is
+        shut down before the loop thread exits.
+        """
         if self._loop_thread is None:
             return
-        self._running = False
-        if self._loop is not None and self._arrival is not None:
-            self._loop.call_soon_threadsafe(self._arrival.set)
+        loop, stop_requested = self._loop, self._stop_requested
+        if loop is not None and stop_requested is not None:
+            loop.call_soon_threadsafe(stop_requested.set)
         self._loop_thread.join(timeout=timeout)
         self._loop_thread = None
+        self._stop_requested = None
